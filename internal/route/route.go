@@ -12,6 +12,14 @@
 // configurable control-plane delay, so schemes see the realistic
 // black-holing window between a cut and the reroute.
 //
+// A rebuild costs one BFS per attachment group — the hosts that share
+// one set of attachment switches, such as the servers of a rack — not
+// one per host: every switch that is not attached to the group has the
+// same equal-cost next hops toward all of its hosts, so its strategy
+// output is computed once and installed for each of them. Installed
+// slices are therefore shared; they are never mutated, and the arena
+// chunks they are carved from are never reused.
+//
 // Determinism: path choice hashes the flow key (FlowHash) with no RNG,
 // rebuilds walk switches and ports in index order, and failure events
 // run on the simulation engine. Identical seeds therefore produce
@@ -20,6 +28,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/link"
@@ -40,17 +49,11 @@ type PortRef struct {
 }
 
 // Installer receives computed candidate port lists, keyed by destination
-// node. *swtch.Switch implements it.
+// node. *swtch.Switch implements it. An installed slice may be shared by
+// several destinations and switches and is never mutated afterwards;
+// installers must not modify it either.
 type Installer interface {
 	SetRoute(dst packet.NodeID, ports []int)
-}
-
-// TablePresizer is an optional Installer refinement: the router tells
-// each installer how many destinations the initial build will install,
-// so table maps are sized once instead of rehashing while the control
-// plane fills them.
-type TablePresizer interface {
-	PresizeRoutes(destinations int)
 }
 
 // Candidate is one equal-cost next hop offered to a Strategy.
@@ -221,7 +224,14 @@ type Router struct {
 	installers []Installer // same order as graph
 	strategy   Strategy
 
-	hostIDs  []packet.NodeID // host index → node ID
+	hostIDs []packet.NodeID // host index → node ID
+	// attach lists, per host index, the switches with a port facing the
+	// host (ascending) and the first such port on each: its direct route
+	// there. Host links never fail, so this is fixed at construction.
+	attach [][]attachment
+	// groups partitions the attached hosts by attachment-switch set:
+	// one BFS per group serves every host in it.
+	groups   [][]int
 	down     map[[2]int]bool // undirected switch pairs currently cut
 	rebuilds int
 
@@ -238,6 +248,8 @@ type Router struct {
 	arena []int
 }
 
+type attachment struct{ sw, port int }
+
 // NewRouter builds a router over the graph and installs the initial
 // tables. graph[i] lists switch i's egress ports in port order;
 // installers[i] is the switch itself.
@@ -253,29 +265,51 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 		down:       map[[2]int]bool{},
 		dist:       make([]int, len(graph)),
 	}
-	seen := map[int]packet.NodeID{}
-	maxHost := -1
-	for _, ports := range graph {
-		for _, ref := range ports {
-			if ref.ToHost {
-				seen[ref.Host] = ref.HostID
-				if ref.Host > maxHost {
-					maxHost = ref.Host
-				}
+	r.groupHosts()
+	r.Rebuild()
+	return r
+}
+
+// groupHosts indexes every host's attachments and partitions the hosts
+// into attachment groups. Host indices that no port faces (gaps) join no
+// group and get no routes.
+func (r *Router) groupHosts() {
+	for si, ports := range r.graph {
+		for pi, ref := range ports {
+			if !ref.ToHost {
+				continue
+			}
+			if n := ref.Host + 1; n > len(r.attach) {
+				r.attach = append(r.attach, make([][]attachment, n-len(r.attach))...)
+				r.hostIDs = append(r.hostIDs, make([]packet.NodeID, n-len(r.hostIDs))...)
+			}
+			r.hostIDs[ref.Host] = ref.HostID
+			a := r.attach[ref.Host]
+			if len(a) == 0 || a[len(a)-1].sw != si {
+				r.attach[ref.Host] = append(a, attachment{si, pi})
 			}
 		}
 	}
-	r.hostIDs = make([]packet.NodeID, maxHost+1)
-	for hi, id := range seen {
-		r.hostIDs[hi] = id
-	}
-	for _, inst := range installers {
-		if p, ok := inst.(TablePresizer); ok {
-			p.PresizeRoutes(len(r.hostIDs))
+	hosts := make([]int, 0, len(r.attach))
+	for hi, a := range r.attach {
+		if len(a) > 0 {
+			hosts = append(hosts, hi)
 		}
 	}
-	r.Rebuild()
-	return r
+	// Sorting by attachment-switch set makes each group a contiguous
+	// run; the stable sort keeps hosts ascending within it.
+	cmp := func(a, b int) int {
+		return slices.CompareFunc(r.attach[a], r.attach[b], func(x, y attachment) int { return x.sw - y.sw })
+	}
+	slices.SortStableFunc(hosts, cmp)
+	for i := 0; i < len(hosts); {
+		j := i + 1
+		for j < len(hosts) && cmp(hosts[i], hosts[j]) == 0 {
+			j++
+		}
+		r.groups = append(r.groups, hosts[i:j:j])
+		i = j
+	}
 }
 
 // Strategy returns the active path-selection strategy.
@@ -355,68 +389,71 @@ func (r *Router) Schedule(events []LinkEvent, reconverge sim.Duration) {
 }
 
 // Rebuild recomputes every routing table from the current link state: a
-// BFS per destination host over the switch graph (skipping failed
-// links), equal-cost candidates expanded by the strategy, installed into
-// the switches. Switches left with no path to a destination keep their
-// stale entry — pointing at a dead port that drops — mirroring a real
-// partition rather than pretending the packet was never sent.
+// BFS per attachment group over the switch graph (skipping failed links),
+// equal-cost candidates expanded by the strategy, installed into the
+// switches. A switch attached to the group installs each host's own
+// direct port; any other switch reachable from the group expands its
+// candidates once and installs that one slice for every host of the
+// group. Installed slices are never mutated and the arena chunks they
+// live in are never reused, so the sharing is safe. Switches left with
+// no path to a destination keep their stale entry — pointing at a dead
+// port that drops — mirroring a real partition rather than pretending
+// the packet was never sent.
 func (r *Router) Rebuild() {
 	r.rebuilds++
-	const inf = int(1e9)
-	for hi, dst := range r.hostIDs {
-		for i := range r.dist {
-			r.dist[i] = inf
-		}
-		r.frontier = r.frontier[:0]
-		// Seed: switches directly attached to the host.
-		for si := range r.graph {
-			for _, ref := range r.graph[si] {
-				if ref.ToHost && ref.Host == hi {
-					r.dist[si] = 1
-					r.frontier = append(r.frontier, si)
-				}
-			}
-		}
-		frontier, next := r.frontier, r.next[:0]
-		for len(frontier) > 0 {
-			next = next[:0]
-			for _, si := range frontier {
-				for _, ref := range r.graph[si] {
-					if ref.ToHost || r.down[linkKey(si, ref.Peer)] {
-						continue
-					}
-					if r.dist[ref.Peer] == inf {
-						r.dist[ref.Peer] = r.dist[si] + 1
-						next = append(next, ref.Peer)
-					}
-				}
-			}
-			frontier, next = next, frontier
-		}
-		r.frontier, r.next = frontier[:0], next[:0]
+	for _, hosts := range r.groups {
+		r.rebuildGroup(hosts)
+	}
+}
 
-		for si := range r.graph {
-			if r.dist[si] == inf {
-				continue
-			}
-			r.cand = r.cand[:0]
-			direct := false
-			for pi, ref := range r.graph[si] {
-				if ref.ToHost && ref.Host == hi {
-					r.cand = append(r.cand[:0], Candidate{Port: pi, Rate: ref.Link.Rate})
-					direct = true
-					break
+// rebuildGroup runs one BFS from the attachment switches shared by
+// hosts and installs their tables.
+func (r *Router) rebuildGroup(hosts []int) {
+	const inf = int(1e9)
+	for i := range r.dist {
+		r.dist[i] = inf
+	}
+	frontier, next := r.frontier[:0], r.next[:0]
+	for _, a := range r.attach[hosts[0]] {
+		r.dist[a.sw] = 1
+		frontier = append(frontier, a.sw)
+	}
+	for len(frontier) > 0 {
+		next = next[:0]
+		for _, si := range frontier {
+			for _, ref := range r.graph[si] {
+				if ref.ToHost || r.down[linkKey(si, ref.Peer)] {
+					continue
 				}
-				if !ref.ToHost && !r.down[linkKey(si, ref.Peer)] && r.dist[ref.Peer] == r.dist[si]-1 {
-					r.cand = append(r.cand, Candidate{Port: pi, Rate: ref.Link.Rate})
+				if r.dist[ref.Peer] == inf {
+					r.dist[ref.Peer] = r.dist[si] + 1
+					next = append(next, ref.Peer)
 				}
 			}
-			if len(r.cand) == 0 {
-				continue // partitioned: keep the stale table entry
+		}
+		frontier, next = next, frontier
+	}
+	r.frontier, r.next = frontier[:0], next[:0]
+
+	for _, hi := range hosts {
+		for _, a := range r.attach[hi] {
+			r.cand = append(r.cand[:0], Candidate{Port: a.port, Rate: r.graph[a.sw][a.port].Link.Rate})
+			r.installers[a.sw].SetRoute(r.hostIDs[hi], r.expandInto(r.cand))
+		}
+	}
+	for si := range r.graph {
+		if r.dist[si] == inf || r.dist[si] == 1 {
+			continue // partitioned (keep the stale entries) or attached (direct routes above)
+		}
+		r.cand = r.cand[:0]
+		for pi, ref := range r.graph[si] {
+			if !ref.ToHost && !r.down[linkKey(si, ref.Peer)] && r.dist[ref.Peer] == r.dist[si]-1 {
+				r.cand = append(r.cand, Candidate{Port: pi, Rate: ref.Link.Rate})
 			}
-			ports := r.expandInto(r.cand)
-			if direct || len(ports) > 0 {
-				r.installers[si].SetRoute(dst, ports)
+		}
+		if ports := r.expandInto(r.cand); len(ports) > 0 {
+			for _, hi := range hosts {
+				r.installers[si].SetRoute(r.hostIDs[hi], ports)
 			}
 		}
 	}

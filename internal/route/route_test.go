@@ -1,6 +1,9 @@
 package route
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/link"
@@ -259,4 +262,336 @@ func TestFailLinkOnNonAdjacentPairPanics(t *testing.T) {
 		}
 	}()
 	r.FailLink(1, 2) // switches 1 and 2 share no link in the diamond
+}
+
+// referenceRebuild computes the tables the direct way, with no
+// attachment groups: one BFS per destination host, seeded by scanning
+// every port of every switch, candidates expanded into fresh slices. It
+// installs into tables under the given down set and is the oracle
+// TestRebuildMatchesPerHostReference compares the Router against.
+func referenceRebuild(graph [][]PortRef, down map[[2]int]bool, strategy Strategy, tables []*tableStub) {
+	var hostIDs []packet.NodeID
+	for _, ports := range graph {
+		for _, ref := range ports {
+			if ref.ToHost {
+				for len(hostIDs) <= ref.Host {
+					hostIDs = append(hostIDs, 0)
+				}
+				hostIDs[ref.Host] = ref.HostID
+			}
+		}
+	}
+	const inf = int(1e9)
+	dist := make([]int, len(graph))
+	for hi, dst := range hostIDs {
+		for i := range dist {
+			dist[i] = inf
+		}
+		var frontier []int
+		for si := range graph {
+			for _, ref := range graph[si] {
+				if ref.ToHost && ref.Host == hi {
+					dist[si] = 1
+					frontier = append(frontier, si)
+				}
+			}
+		}
+		for len(frontier) > 0 {
+			var next []int
+			for _, si := range frontier {
+				for _, ref := range graph[si] {
+					if ref.ToHost || down[linkKey(si, ref.Peer)] {
+						continue
+					}
+					if dist[ref.Peer] == inf {
+						dist[ref.Peer] = dist[si] + 1
+						next = append(next, ref.Peer)
+					}
+				}
+			}
+			frontier = next
+		}
+		for si := range graph {
+			if dist[si] == inf {
+				continue
+			}
+			var cand []Candidate
+			direct := false
+			for pi, ref := range graph[si] {
+				if ref.ToHost && ref.Host == hi {
+					cand = append(cand[:0], Candidate{Port: pi, Rate: ref.Link.Rate})
+					direct = true
+					break
+				}
+				if !ref.ToHost && !down[linkKey(si, ref.Peer)] && dist[ref.Peer] == dist[si]-1 {
+					cand = append(cand, Candidate{Port: pi, Rate: ref.Link.Rate})
+				}
+			}
+			if len(cand) == 0 {
+				continue
+			}
+			ports := strategy.Expand(cand, nil)
+			if direct || len(ports) > 0 {
+				tables[si].SetRoute(dst, ports)
+			}
+		}
+	}
+}
+
+// fabric is a routing graph plus the switch pairs a failure script may
+// cut.
+type fabric struct {
+	name  string
+	graph [][]PortRef
+	pairs [][2]int // adjacent switch pairs, each once, a < b
+}
+
+// fabricBuilder appends ports to a graph under construction.
+type fabricBuilder struct {
+	eng   *sim.Engine
+	graph [][]PortRef
+	pairs map[[2]int]bool
+}
+
+func newFabricBuilder(eng *sim.Engine, switches int) *fabricBuilder {
+	return &fabricBuilder{eng: eng, graph: make([][]PortRef, switches), pairs: map[[2]int]bool{}}
+}
+
+func (fb *fabricBuilder) host(si, hi int, rate units.BitRate) {
+	fb.graph[si] = append(fb.graph[si], PortRef{
+		Link: link.NewPort(fb.eng, rate, 0, nil), ToHost: true, Host: hi, HostID: packet.NodeID(hi),
+	})
+}
+
+func (fb *fabricBuilder) wire(a, b int, rate units.BitRate) {
+	fb.graph[a] = append(fb.graph[a], PortRef{Link: link.NewPort(fb.eng, rate, 0, nil), Peer: b})
+	fb.graph[b] = append(fb.graph[b], PortRef{Link: link.NewPort(fb.eng, rate, 0, nil), Peer: a})
+	fb.pairs[linkKey(a, b)] = true
+}
+
+func (fb *fabricBuilder) fabric(name string) fabric {
+	f := fabric{name: name, graph: fb.graph}
+	for a := range fb.graph {
+		for b := a + 1; b < len(fb.graph); b++ {
+			if fb.pairs[[2]int{a, b}] {
+				f.pairs = append(f.pairs, [2]int{a, b})
+			}
+		}
+	}
+	return f
+}
+
+// fatTreeGraph wires the graph topo.FatTree builds: ToRs, then
+// aggregation switches, then cores; each ToR's servers first in its port
+// order, then ToR–agg links within a pod, then every agg to every core.
+func fatTreeGraph(eng *sim.Engine, pods, torsPerPod, aggsPerPod, cores, serversPerTor int) fabric {
+	nTors, nAggs := pods*torsPerPod, pods*aggsPerPod
+	fb := newFabricBuilder(eng, nTors+nAggs+cores)
+	hi := 0
+	for t := 0; t < nTors; t++ {
+		for s := 0; s < serversPerTor; s++ {
+			fb.host(t, hi, 25*units.Gbps)
+			hi++
+		}
+	}
+	for p := 0; p < pods; p++ {
+		for t := 0; t < torsPerPod; t++ {
+			for a := 0; a < aggsPerPod; a++ {
+				fb.wire(p*torsPerPod+t, nTors+p*aggsPerPod+a, 100*units.Gbps)
+			}
+		}
+	}
+	for a := 0; a < nAggs; a++ {
+		for c := 0; c < cores; c++ {
+			fb.wire(nTors+a, nTors+nAggs+c, 100*units.Gbps)
+		}
+	}
+	return fb.fabric(fmt.Sprintf("fattree-%dx%dx%dx%d-%d", pods, torsPerPod, aggsPerPod, cores, serversPerTor))
+}
+
+// randomFabric draws an irregular graph: parallel switch–switch links,
+// mixed rates (so weighted ECMP differs from ECMP), hosts on one to three
+// switches, some reached by two parallel ports of one switch, and host
+// indices with gaps. Ports are appended in random order, so host ports
+// and switch ports interleave.
+func randomFabric(eng *sim.Engine, rng *rand.Rand, seed int) fabric {
+	rates := []units.BitRate{10 * units.Gbps, 25 * units.Gbps, 50 * units.Gbps, 100 * units.Gbps, 400 * units.Gbps}
+	rate := func() units.BitRate { return rates[rng.Intn(len(rates))] }
+	nsw := 2 + rng.Intn(10)
+	fb := newFabricBuilder(eng, nsw)
+	type op struct {
+		host   bool
+		a, b   int
+		hi     int
+		double bool
+	}
+	var ops []op
+	for a := 0; a < nsw; a++ {
+		for b := a + 1; b < nsw; b++ {
+			if rng.Float64() < 0.35 {
+				ops = append(ops, op{a: a, b: b})
+				if rng.Float64() < 0.25 {
+					ops = append(ops, op{a: a, b: b}) // parallel link
+				}
+			}
+		}
+	}
+	hi := 0
+	for n := 1 + rng.Intn(30); n > 0; n-- {
+		hi += 1 + rng.Intn(2)*rng.Intn(3) // gaps in host indices
+		homes := 1
+		if x := rng.Float64(); x < 0.05 {
+			homes = 3
+		} else if x < 0.3 {
+			homes = 2
+		}
+		for _, si := range rng.Perm(nsw)[:min(homes, nsw)] {
+			ops = append(ops, op{host: true, a: si, hi: hi, double: rng.Float64() < 0.15})
+		}
+	}
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	for _, o := range ops {
+		switch {
+		case !o.host:
+			fb.wire(o.a, o.b, rate())
+		case o.double:
+			fb.host(o.a, o.hi, rate())
+			fb.host(o.a, o.hi, rate())
+		default:
+			fb.host(o.a, o.hi, rate())
+		}
+	}
+	return fb.fabric(fmt.Sprintf("random-%d", seed))
+}
+
+func sameTables(t *testing.T, label string, got, want []*tableStub) {
+	t.Helper()
+	for si := range want {
+		if len(got[si].routes) != len(want[si].routes) {
+			t.Fatalf("%s: switch %d has %d destinations, reference %d", label, si, len(got[si].routes), len(want[si].routes))
+		}
+		for dst, w := range want[si].routes {
+			g, ok := got[si].routes[dst]
+			if !ok || !slices.Equal(g, w) {
+				t.Fatalf("%s: switch %d dst %d = %v (installed %v), reference %v", label, si, dst, g, ok, w)
+			}
+		}
+	}
+}
+
+// TestRebuildMatchesPerHostReference is the route-table differential
+// test: on fat-trees and irregular fabrics, under every strategy, each
+// installed (switch, destination) table must equal the per-host
+// reference's after the initial build and after every step of a random
+// fail/restore script. Scripts isolate whole switches, so partitioned
+// switches' stale entries are compared too.
+func TestRebuildMatchesPerHostReference(t *testing.T) {
+	strategies := []Strategy{SinglePath{}, ECMP{}, WeightedECMP{}, WeightedECMP{MaxReplicas: 3}}
+	shapes := []func(eng *sim.Engine, rng *rand.Rand, seed int) fabric{
+		func(eng *sim.Engine, _ *rand.Rand, _ int) fabric { return fatTreeGraph(eng, 2, 1, 1, 1, 1) },
+		func(eng *sim.Engine, _ *rand.Rand, _ int) fabric { return fatTreeGraph(eng, 4, 2, 2, 2, 4) },
+		func(eng *sim.Engine, _ *rand.Rand, _ int) fabric { return fatTreeGraph(eng, 3, 3, 2, 4, 5) },
+		func(eng *sim.Engine, _ *rand.Rand, _ int) fabric { return fatTreeGraph(eng, 4, 2, 2, 2, 32) },
+	}
+	for seed := 0; seed < 80; seed++ {
+		shapes = append(shapes, randomFabric)
+	}
+	for seed, shape := range shapes {
+		for _, strategy := range strategies {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			eng := sim.New()
+			f := shape(eng, rng, seed)
+			got := make([]*tableStub, len(f.graph))
+			want := make([]*tableStub, len(f.graph))
+			for i := range got {
+				got[i], want[i] = newTableStub(), newTableStub()
+			}
+			r := NewRouter(eng, f.graph, installers(got), strategy)
+			down := map[[2]int]bool{}
+			referenceRebuild(f.graph, down, strategy, want)
+			label := fmt.Sprintf("%s/%s%+v", f.name, strategy.Name(), strategy)
+			sameTables(t, label+" initial", got, want)
+			if len(f.pairs) == 0 {
+				continue
+			}
+			for step := 0; step < 16; step++ {
+				switch x := rng.Float64(); {
+				case x < 0.2: // isolate one switch: everything behind it partitions
+					si := rng.Intn(len(f.graph))
+					for _, p := range f.pairs {
+						if (p[0] == si || p[1] == si) && !down[p] {
+							r.FailLink(p[0], p[1])
+							down[p] = true
+						}
+					}
+				case x < 0.3: // restore everything
+					for _, p := range f.pairs {
+						if down[p] {
+							r.RestoreLink(p[0], p[1])
+							delete(down, p)
+						}
+					}
+				default: // toggle one link
+					p := f.pairs[rng.Intn(len(f.pairs))]
+					if down[p] {
+						r.RestoreLink(p[0], p[1])
+						delete(down, p)
+					} else {
+						r.FailLink(p[0], p[1])
+						down[p] = true
+					}
+				}
+				r.Rebuild()
+				referenceRebuild(f.graph, down, strategy, want)
+				sameTables(t, fmt.Sprintf("%s step %d (%d links down)", label, step, len(down)), got, want)
+			}
+		}
+	}
+}
+
+// denseTable is a switch-like installer: a slice indexed by destination
+// node ID, as swtch.Switch keeps its forwarding table.
+type denseTable struct{ routes [][]int }
+
+func (d *denseTable) SetRoute(dst packet.NodeID, ports []int) {
+	if n := int(dst) + 1; n > len(d.routes) {
+		d.routes = append(d.routes, make([][]int, n-len(d.routes))...)
+	}
+	d.routes[dst] = ports
+}
+
+// BenchmarkRouterRebuild times one full reconvergence on the benchmark's
+// 8192-host fat-tree (8 ToRs of 1024 servers, the reconverge workload's
+// fabric) and on a 40,000-host single-switch star, the oversized-request
+// shape.
+func BenchmarkRouterRebuild(b *testing.B) {
+	star := func(eng *sim.Engine, hosts int) fabric {
+		fb := newFabricBuilder(eng, 1)
+		for hi := 0; hi < hosts; hi++ {
+			fb.host(0, hi, 25*units.Gbps)
+		}
+		return fb.fabric("star")
+	}
+	for _, bc := range []struct {
+		name  string
+		build func(*sim.Engine) fabric
+	}{
+		{"fattree8192", func(eng *sim.Engine) fabric { return fatTreeGraph(eng, 4, 2, 2, 2, 1024) }},
+		{"star40k", func(eng *sim.Engine) fabric { return star(eng, 40000) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := sim.New()
+			f := bc.build(eng)
+			tables := make([]Installer, len(f.graph))
+			for i := range tables {
+				tables[i] = &denseTable{}
+			}
+			r := NewRouter(eng, f.graph, tables, ECMP{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Rebuild()
+			}
+		})
+	}
 }

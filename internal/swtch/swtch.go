@@ -60,7 +60,7 @@ type Switch struct {
 	cfg   Config
 	share *buffer.Shared
 	ports []*link.Port
-	table map[packet.NodeID][]int
+	table [][]int // candidate ports, indexed by destination host NodeID
 	rng   *rand.Rand
 
 	marked  uint64
@@ -77,7 +77,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
 		eng:   eng,
 		cfg:   cfg,
 		share: buffer.NewShared(cfg.BufferBytes, cfg.Alpha),
-		table: map[packet.NodeID][]int{},
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<20 ^ 0x9E3779B9)),
 	}
 }
@@ -159,29 +158,31 @@ func (s *Switch) shouldMark(qlen int64) bool {
 	}
 }
 
-// SetRoute installs the ECMP candidate ports for a destination.
+// SetRoute installs the ECMP candidate ports for a destination. Host
+// NodeIDs are dense from 0, so the table is a slice that grows to the
+// largest destination installed.
 func (s *Switch) SetRoute(dst packet.NodeID, portIdx []int) {
+	if n := int(dst) + 1; n > len(s.table) {
+		s.table = append(s.table, make([][]int, n-len(s.table))...)
+	}
 	s.table[dst] = portIdx
 }
 
-// PresizeRoutes implements route.TablePresizer: it sizes the (still
-// empty) table for the destinations the control plane is about to
-// install, so the initial build does not rehash the map per insert.
-func (s *Switch) PresizeRoutes(destinations int) {
-	if len(s.table) == 0 && destinations > 0 {
-		s.table = make(map[packet.NodeID][]int, destinations)
+// Route returns the candidate egress ports for dst, nil when none is
+// installed.
+func (s *Switch) Route(dst packet.NodeID) []int {
+	if uint(dst) >= uint(len(s.table)) {
+		return nil
 	}
+	return s.table[dst]
 }
-
-// Route returns the candidate egress ports for dst (testing).
-func (s *Switch) Route(dst packet.NodeID) []int { return s.table[dst] }
 
 // Receive implements link.Receiver: forward the packet toward its
 // destination, hashing the flow's addressing tuple over the candidate
 // ports the routing control plane installed (see internal/route). The
 // path is a table lookup plus one hash — no allocation per packet.
 func (s *Switch) Receive(p *packet.Packet) {
-	cand := s.table[p.Dst]
+	cand := s.Route(p.Dst)
 	if len(cand) == 0 {
 		panic(fmt.Sprintf("swtch: switch %d has no route to %d", s.id, p.Dst))
 	}

@@ -1,6 +1,7 @@
 package swtch
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -151,14 +152,38 @@ func TestECMPIsPerFlowConsistent(t *testing.T) {
 }
 
 func TestNoRoutePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing route did not panic")
-		}
-	}()
 	eng := sim.New()
 	sw := New(eng, 1, Config{})
-	sw.Receive(data(1, 99, 100))
+	for _, dst := range []packet.NodeID{99, 3, 8, 1 << 20, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "has no route") {
+					t.Fatalf("dst %d (table length %d): recovered %q, want a has-no-route panic", dst, len(sw.table), msg)
+				}
+			}()
+			sw.Receive(data(1, dst, 100))
+		}()
+		// After the empty table, probe inside and just past an
+		// installed one.
+		sw.SetRoute(7, []int{0})
+	}
+}
+
+func TestRouteUninstalledIsNil(t *testing.T) {
+	sw := New(sim.New(), 1, Config{})
+	if r := sw.Route(0); r != nil {
+		t.Fatalf("empty table: Route(0) = %v, want nil", r)
+	}
+	sw.SetRoute(7, []int{1, 2})
+	for _, dst := range []packet.NodeID{0, 6, 8, 1 << 20, -1} {
+		if r := sw.Route(dst); r != nil {
+			t.Fatalf("Route(%d) = %v, want nil (only 7 installed)", dst, r)
+		}
+	}
+	if r := sw.Route(7); len(r) != 2 || r[0] != 1 || r[1] != 2 {
+		t.Fatalf("Route(7) = %v, want [1 2]", r)
+	}
 }
 
 func TestINTTxBytesMonotonic(t *testing.T) {
