@@ -188,21 +188,17 @@ func Build(cfg Config) *Network {
 			h.SetPool(n.Pool)
 			n.Hosts = append(n.Hosts, h)
 			up := link.NewPort(eng, cfg.HostRate, cfg.EdgeDelay, tor)
-			up.Name = fmt.Sprintf("rdcn-host%d.nic", id)
 			up.Pool = n.Pool
 			h.SetUplink(up)
 			down := newINTPort(eng, cfg.HostRate, cfg.EdgeDelay, h, nil, cfg.INT)
-			down.Name = fmt.Sprintf("tor%d.host%d", ti, s)
 			tor.hostPorts = append(tor.hostPorts, down)
 		}
 		// Packet core uplink.
 		tor.pktPort = newINTPort(eng, cfg.PacketRate, cfg.CoreDelay, n.Core, nil, cfg.INT)
-		tor.pktPort.Name = fmt.Sprintf("tor%d.pkt", ti)
 		// Circuit port with per-destination VOQs, dark until its first day.
 		voq := queue.NewClass(func(p *packet.Packet) int { return n.TorOf(p.Dst) })
 		tor.voq = voq
 		tor.circPort = newINTPort(eng, cfg.CircuitRate, cfg.CoreDelay, fabric, voq, cfg.INT)
-		tor.circPort.Name = fmt.Sprintf("tor%d.circuit", ti)
 		tor.circPort.Pause()
 	}
 	// Core routes every host via its ToR's core-facing port. The core's

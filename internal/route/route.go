@@ -12,13 +12,15 @@
 // configurable control-plane delay, so schemes see the realistic
 // black-holing window between a cut and the reroute.
 //
-// A rebuild costs one BFS per attachment group — the hosts that share
+// Forwarding state is kept per attachment group — the hosts that share
 // one set of attachment switches, such as the servers of a rack — not
-// one per host: every switch that is not attached to the group has the
-// same equal-cost next hops toward all of its hosts, so its strategy
-// output is computed once and installed for each of them. Installed
-// slices are therefore shared; they are never mutated, and the arena
-// chunks they are carved from are never reused.
+// per host. Every switch that is not attached to a group has the same
+// equal-cost next hops toward all of its hosts, so a Router keeps one
+// shared, read-only index from host NodeID to (group, slot), and each
+// switch's Table holds one candidate list per group plus, on the
+// group's attachment switches only, each host's direct port. Tables
+// therefore cost O(switches × groups + hosts), and a rebuild runs one
+// BFS per group and writes one entry per (reachable switch, group).
 //
 // Determinism: path choice hashes the flow key (FlowHash) with no RNG,
 // rebuilds walk switches and ports in index order, and failure events
@@ -48,12 +50,68 @@ type PortRef struct {
 	Peer   int // peer switch index (!ToHost)
 }
 
-// Installer receives computed candidate port lists, keyed by destination
-// node. *swtch.Switch implements it. An installed slice may be shared by
-// several destinations and switches and is never mutated afterwards;
-// installers must not modify it either.
-type Installer interface {
-	SetRoute(dst packet.NodeID, ports []int)
+// Table is one switch's forwarding state, keyed by attachment group.
+// The tables a Router manages share its index from host NodeID to
+// (group, slot); each holds, per group, the candidate ports toward every
+// host of the group, or — on a switch the group is attached to — each
+// host's own direct port. swtch.Switch embeds a Table.
+//
+// A table no Router manages (a test fixture, a hand-wired core) is
+// filled by SetRoute, which gives each destination a group of its own in
+// an index private to the table. Both kinds are read by Route.
+//
+// Installed port slices may be shared by several tables and are never
+// mutated; callers of Route must not modify them either.
+type Table struct {
+	at      []hostSlot // by destination NodeID; shared by a Router's tables
+	groups  []groupRoute
+	managed bool // at belongs to a Router, so SetRoute must not grow it
+}
+
+// hostSlot places one destination: its attachment group and its slot
+// in the group. Group 0 is reserved and never installed, so the zero
+// hostSlot marks a NodeID with no host.
+type hostSlot struct{ group, slot int32 }
+
+// groupRoute is a table's state toward one attachment group.
+type groupRoute struct {
+	ports  []int   // candidates toward every host of the group
+	direct [][]int // per slot, the host's direct port; set only where the group is attached
+}
+
+// Route returns the candidate egress ports toward dst, nil when none is
+// installed.
+func (t *Table) Route(dst packet.NodeID) []int {
+	if uint(dst) >= uint(len(t.at)) {
+		return nil
+	}
+	e := t.at[dst]
+	g := &t.groups[e.group]
+	if g.direct != nil {
+		return g.direct[e.slot]
+	}
+	return g.ports
+}
+
+// SetRoute installs ports as the candidates toward dst on a table no
+// Router manages; it panics on one a Router does, whose index other
+// tables share.
+func (t *Table) SetRoute(dst packet.NodeID, ports []int) {
+	if t.managed {
+		panic(fmt.Sprintf("route: SetRoute(%d) on a table a Router manages", dst))
+	}
+	if n := int(dst) + 1; n > len(t.at) {
+		t.at = append(t.at, make([]hostSlot, n-len(t.at))...)
+	}
+	if len(t.groups) == 0 {
+		t.groups = make([]groupRoute, 1) // the reserved group 0
+	}
+	e := &t.at[dst]
+	if e.group == 0 {
+		*e = hostSlot{group: int32(len(t.groups))}
+		t.groups = append(t.groups, groupRoute{})
+	}
+	t.groups[e.group].ports = ports
 }
 
 // Candidate is one equal-cost next hop offered to a Strategy.
@@ -216,22 +274,17 @@ func FlowHash(src, dst packet.NodeID, flow packet.FlowID) uint64 {
 }
 
 // Router owns the routing control plane of one network: the graph, the
-// strategy, the set of currently-failed links, and the installers
-// (switches) that receive computed tables.
+// strategy, the set of currently-failed links, and the switches' tables.
 type Router struct {
-	eng        *sim.Engine
-	graph      [][]PortRef // per switch, per port
-	installers []Installer // same order as graph
-	strategy   Strategy
+	eng      *sim.Engine
+	graph    [][]PortRef // per switch, per port
+	tables   []*Table    // same order as graph
+	strategy Strategy
 
-	hostIDs []packet.NodeID // host index → node ID
-	// attach lists, per host index, the switches with a port facing the
-	// host (ascending) and the first such port on each: its direct route
-	// there. Host links never fail, so this is fixed at construction.
-	attach [][]attachment
-	// groups partitions the attached hosts by attachment-switch set:
-	// one BFS per group serves every host in it.
-	groups   [][]int
+	// sources lists, per attachment group, its attachment switches in
+	// ascending order: the BFS sources of the group's routes. Entry 0,
+	// the reserved group, is empty.
+	sources  [][]int
 	down     map[[2]int]bool // undirected switch pairs currently cut
 	rebuilds int
 
@@ -241,75 +294,107 @@ type Router struct {
 	next     []int
 	cand     []Candidate
 	// arena is the chunked backing store installed tables are carved
-	// from: one allocation per chunk instead of one per (switch,
-	// destination) pair. Chunks are never reset or reused within a
-	// router's lifetime, so tables installed by earlier rebuilds — and
-	// the stale entries partitioned switches keep — stay valid.
+	// from: one allocation per chunk instead of one per (switch, group)
+	// pair. Chunks are never reset or reused within a router's lifetime,
+	// so tables installed by earlier rebuilds — and the stale entries
+	// partitioned switches keep — stay valid.
 	arena []int
 }
 
-type attachment struct{ sw, port int }
+// attachment is one (host, switch) adjacency: the first port of switch
+// sw, in port order, that faces host hi.
+type attachment struct{ hi, sw, port int }
 
-// NewRouter builds a router over the graph and installs the initial
-// tables. graph[i] lists switch i's egress ports in port order;
-// installers[i] is the switch itself.
-func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strategy Strategy) *Router {
+// NewRouter builds a router over the graph, takes over the tables and
+// installs the initial routes. graph[i] lists switch i's egress ports in
+// port order; tables[i] is switch i's table.
+func NewRouter(eng *sim.Engine, graph [][]PortRef, tables []*Table, strategy Strategy) *Router {
 	if strategy == nil {
 		strategy = ECMP{}
 	}
 	r := &Router{
-		eng:        eng,
-		graph:      graph,
-		installers: installers,
-		strategy:   strategy,
-		down:       map[[2]int]bool{},
-		dist:       make([]int, len(graph)),
+		eng:      eng,
+		graph:    graph,
+		tables:   tables,
+		strategy: strategy,
+		down:     map[[2]int]bool{},
+		dist:     make([]int, len(graph)),
 	}
-	r.groupHosts()
+	r.installDirect()
 	r.Rebuild()
 	return r
 }
 
-// groupHosts indexes every host's attachments and partitions the hosts
-// into attachment groups. Host indices that no port faces (gaps) join no
-// group and get no routes.
-func (r *Router) groupHosts() {
+// installDirect partitions the hosts into attachment groups, points
+// every table at the shared (group, slot) index, and installs each
+// host's direct port on its attachment switches. Host links never fail,
+// so direct ports are installed once, here. Host indices that no port
+// faces (gaps) join no group and get no routes.
+func (r *Router) installDirect() {
+	var atts []attachment
+	maxID := packet.NodeID(-1)
 	for si, ports := range r.graph {
 		for pi, ref := range ports {
-			if !ref.ToHost {
-				continue
-			}
-			if n := ref.Host + 1; n > len(r.attach) {
-				r.attach = append(r.attach, make([][]attachment, n-len(r.attach))...)
-				r.hostIDs = append(r.hostIDs, make([]packet.NodeID, n-len(r.hostIDs))...)
-			}
-			r.hostIDs[ref.Host] = ref.HostID
-			a := r.attach[ref.Host]
-			if len(a) == 0 || a[len(a)-1].sw != si {
-				r.attach[ref.Host] = append(a, attachment{si, pi})
+			if ref.ToHost {
+				atts = append(atts, attachment{ref.Host, si, pi})
+				maxID = max(maxID, ref.HostID)
 			}
 		}
 	}
-	hosts := make([]int, 0, len(r.attach))
-	for hi, a := range r.attach {
-		if len(a) > 0 {
-			hosts = append(hosts, hi)
+	// Ordered by host, then switch, then port: each host's attachments
+	// become one run, and the first of equal (host, switch) pairs is its
+	// first facing port there.
+	slices.SortStableFunc(atts, func(x, y attachment) int { return x.hi - y.hi })
+	atts = slices.CompactFunc(atts, func(x, y attachment) bool { return x.hi == y.hi && x.sw == y.sw })
+	runs := splitRuns(atts, func(x, y attachment) bool { return x.hi == y.hi })
+	// Sorting by attachment-switch set makes each group a contiguous run;
+	// the stable sort keeps hosts ascending within it.
+	cmpSwitches := func(a, b []attachment) int {
+		return slices.CompareFunc(a, b, func(x, y attachment) int { return x.sw - y.sw })
+	}
+	slices.SortStableFunc(runs, cmpSwitches)
+	groups := splitRuns(runs, func(a, b []attachment) bool { return cmpSwitches(a, b) == 0 })
+
+	at := make([]hostSlot, maxID+1)
+	ng := len(groups) + 1
+	all := make([]groupRoute, len(r.tables)*ng)
+	for si, t := range r.tables {
+		*t = Table{at: at, groups: all[si*ng : (si+1)*ng : (si+1)*ng], managed: true}
+	}
+	direct := make([][]int, len(atts))
+	r.sources = make([][]int, ng)
+	for i, hosts := range groups {
+		g := i + 1
+		for slot, run := range hosts {
+			at[r.graph[run[0].sw][run[0].port].HostID] = hostSlot{int32(g), int32(slot)}
+		}
+		for k, a := range hosts[0] {
+			r.sources[g] = append(r.sources[g], a.sw)
+			d := direct[:len(hosts):len(hosts)]
+			direct = direct[len(hosts):]
+			for slot, run := range hosts {
+				port := run[k].port
+				r.cand = append(r.cand[:0], Candidate{Port: port, Rate: r.graph[a.sw][port].Link.Rate})
+				d[slot] = r.expandInto(r.cand)
+			}
+			r.tables[a.sw].groups[g].direct = d
 		}
 	}
-	// Sorting by attachment-switch set makes each group a contiguous
-	// run; the stable sort keeps hosts ascending within it.
-	cmp := func(a, b int) int {
-		return slices.CompareFunc(r.attach[a], r.attach[b], func(x, y attachment) int { return x.sw - y.sw })
-	}
-	slices.SortStableFunc(hosts, cmp)
-	for i := 0; i < len(hosts); {
+}
+
+// splitRuns cuts s into its maximal runs of consecutive elements that
+// same reports equal.
+func splitRuns[T any](s []T, same func(a, b T) bool) [][]T {
+	var runs [][]T
+	for i := 0; i < len(s); {
 		j := i + 1
-		for j < len(hosts) && cmp(hosts[i], hosts[j]) == 0 {
+		for j < len(s) && same(s[i], s[j]) {
 			j++
 		}
-		r.groups = append(r.groups, hosts[i:j:j])
+		runs = append(runs, s[i:j:j])
 		i = j
 	}
+	return runs
 }
 
 // Strategy returns the active path-selection strategy.
@@ -389,40 +474,43 @@ func (r *Router) Schedule(events []LinkEvent, reconverge sim.Duration) {
 }
 
 // Rebuild recomputes every routing table from the current link state: a
-// BFS per attachment group over the switch graph (skipping failed links),
-// equal-cost candidates expanded by the strategy, installed into the
-// switches. A switch attached to the group installs each host's own
-// direct port; any other switch reachable from the group expands its
-// candidates once and installs that one slice for every host of the
-// group. Installed slices are never mutated and the arena chunks they
-// live in are never reused, so the sharing is safe. Switches left with
-// no path to a destination keep their stale entry — pointing at a dead
-// port that drops — mirroring a real partition rather than pretending
-// the packet was never sent.
+// BFS per attachment group over the switch graph (skipping failed
+// links), then, on every reachable switch not attached to the group,
+// the equal-cost candidates expanded by the strategy and installed as
+// the table's one entry for the group. Attached switches keep the direct
+// ports NewRouter installed. Switches left with no path to a group keep
+// their stale entry — pointing at a dead port that drops — mirroring a
+// real partition rather than pretending the packet was never sent. A
+// stale group entry is exact for each of the group's hosts, because the
+// group's hosts were always installed together. Installed slices are
+// never mutated and the arena chunks they live in are never reused, so
+// stale and shared entries stay valid.
 func (r *Router) Rebuild() {
 	r.rebuilds++
-	for _, hosts := range r.groups {
-		r.rebuildGroup(hosts)
+	for g := 1; g < len(r.sources); g++ {
+		r.rebuildGroup(g, r.sources[g])
 	}
 }
 
-// rebuildGroup runs one BFS from the attachment switches shared by
-// hosts and installs their tables.
-func (r *Router) rebuildGroup(hosts []int) {
+// rebuildGroup runs one BFS from group g's attachment switches srcs and
+// installs the group's entry on every other reachable switch. A port's
+// own down flag is the link state: FailLink and RestoreLink set it on
+// both directions of every link between the pair.
+func (r *Router) rebuildGroup(g int, srcs []int) {
 	const inf = int(1e9)
 	for i := range r.dist {
 		r.dist[i] = inf
 	}
 	frontier, next := r.frontier[:0], r.next[:0]
-	for _, a := range r.attach[hosts[0]] {
-		r.dist[a.sw] = 1
-		frontier = append(frontier, a.sw)
+	for _, si := range srcs {
+		r.dist[si] = 1
+		frontier = append(frontier, si)
 	}
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, si := range frontier {
 			for _, ref := range r.graph[si] {
-				if ref.ToHost || r.down[linkKey(si, ref.Peer)] {
+				if ref.ToHost || ref.Link.IsDown() {
 					continue
 				}
 				if r.dist[ref.Peer] == inf {
@@ -435,26 +523,18 @@ func (r *Router) rebuildGroup(hosts []int) {
 	}
 	r.frontier, r.next = frontier[:0], next[:0]
 
-	for _, hi := range hosts {
-		for _, a := range r.attach[hi] {
-			r.cand = append(r.cand[:0], Candidate{Port: a.port, Rate: r.graph[a.sw][a.port].Link.Rate})
-			r.installers[a.sw].SetRoute(r.hostIDs[hi], r.expandInto(r.cand))
-		}
-	}
 	for si := range r.graph {
 		if r.dist[si] == inf || r.dist[si] == 1 {
-			continue // partitioned (keep the stale entries) or attached (direct routes above)
+			continue // partitioned (keep the stale entry) or attached (direct ports)
 		}
 		r.cand = r.cand[:0]
 		for pi, ref := range r.graph[si] {
-			if !ref.ToHost && !r.down[linkKey(si, ref.Peer)] && r.dist[ref.Peer] == r.dist[si]-1 {
+			if !ref.ToHost && !ref.Link.IsDown() && r.dist[ref.Peer] == r.dist[si]-1 {
 				r.cand = append(r.cand, Candidate{Port: pi, Rate: ref.Link.Rate})
 			}
 		}
 		if ports := r.expandInto(r.cand); len(ports) > 0 {
-			for _, hi := range hosts {
-				r.installers[si].SetRoute(r.hostIDs[hi], ports)
-			}
+			r.tables[si].groups[g].ports = ports
 		}
 	}
 }

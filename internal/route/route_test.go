@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestFlowHashDeterministicAndSpreads(t *testing.T) {
 	}
 }
 
-// tableStub records installed routes like a switch would.
+// tableStub records the reference's routes, one entry per destination.
 type tableStub struct{ routes map[packet.NodeID][]int }
 
 func newTableStub() *tableStub { return &tableStub{routes: map[packet.NodeID][]int{}} }
@@ -106,7 +107,7 @@ func (ts *tableStub) SetRoute(dst packet.NodeID, ports []int) { ts.routes[dst] =
 
 // diamond builds the minimal multipath graph: host 0 on switch 0, host 1
 // on switch 3, two disjoint two-hop paths 0-1-3 and 0-2-3.
-func diamond(eng *sim.Engine) ([][]PortRef, []*tableStub) {
+func diamond(eng *sim.Engine) ([][]PortRef, []*Table) {
 	port := func(rate units.BitRate) *link.Port { return link.NewPort(eng, rate, 0, nil) }
 	g := [][]PortRef{
 		{ // switch 0: host 0, then uplinks to 1 and 2
@@ -128,27 +129,26 @@ func diamond(eng *sim.Engine) ([][]PortRef, []*tableStub) {
 			{Link: port(100 * units.Gbps), Peer: 2},
 		},
 	}
-	stubs := []*tableStub{newTableStub(), newTableStub(), newTableStub(), newTableStub()}
-	return g, stubs
+	return g, newTables(len(g))
 }
 
-func installers(stubs []*tableStub) []Installer {
-	out := make([]Installer, len(stubs))
-	for i, s := range stubs {
-		out[i] = s
+func newTables(n int) []*Table {
+	out := make([]*Table, n)
+	for i := range out {
+		out[i] = &Table{}
 	}
 	return out
 }
 
 func TestRouterInstallsECMPAndReconverges(t *testing.T) {
 	eng := sim.New()
-	g, stubs := diamond(eng)
-	r := NewRouter(eng, g, installers(stubs), ECMP{})
+	g, tables := diamond(eng)
+	r := NewRouter(eng, g, tables, ECMP{})
 
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := tables[0].Route(101); len(got) != 2 {
 		t.Fatalf("switch 0 ECMP candidates for host 1 = %v, want 2", got)
 	}
-	if got := stubs[0].routes[100]; len(got) != 1 || got[0] != 0 {
+	if got := tables[0].Route(100); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("switch 0 direct route = %v, want [0]", got)
 	}
 
@@ -157,21 +157,21 @@ func TestRouterInstallsECMPAndReconverges(t *testing.T) {
 	if !g[0][1].Link.IsDown() || !g[1][0].Link.IsDown() {
 		t.Fatal("failed link's ports are not down in both directions")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := tables[0].Route(101); len(got) != 2 {
 		t.Fatalf("tables changed before reconvergence: %v", got)
 	}
 	r.Rebuild()
-	if got := stubs[0].routes[101]; len(got) != 1 || got[0] != 2 {
+	if got := tables[0].Route(101); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("post-failure route = %v, want [2] (via switch 2)", got)
 	}
 	// Switch 1 is still reachable from switch 3's side and keeps a path.
-	if got := stubs[1].routes[101]; len(got) != 1 || got[0] != 1 {
+	if got := tables[1].Route(101); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("switch 1 route after failure = %v", got)
 	}
 
 	r.RestoreLink(0, 1)
 	r.Rebuild()
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := tables[0].Route(101); len(got) != 2 {
 		t.Fatalf("restored route = %v, want 2 candidates", got)
 	}
 	if g[0][1].Link.IsDown() {
@@ -184,15 +184,15 @@ func TestRouterInstallsECMPAndReconverges(t *testing.T) {
 
 func TestRouterPartitionKeepsStaleRoute(t *testing.T) {
 	eng := sim.New()
-	g, stubs := diamond(eng)
-	r := NewRouter(eng, g, installers(stubs), ECMP{})
+	g, tables := diamond(eng)
+	r := NewRouter(eng, g, tables, ECMP{})
 	// Cut both paths out of switch 0: it is partitioned from host 1.
 	r.FailLink(0, 1)
 	r.FailLink(0, 2)
 	r.Rebuild()
 	// The stale entry remains — packets black-hole on the dead port
 	// instead of panicking on a missing route.
-	if got := stubs[0].routes[101]; len(got) == 0 {
+	if got := tables[0].Route(101); len(got) == 0 {
 		t.Fatal("partition erased the stale route")
 	}
 	if r.DownLinks() != 2 {
@@ -202,8 +202,8 @@ func TestRouterPartitionKeepsStaleRoute(t *testing.T) {
 
 func TestRouterScheduleRunsOnEngine(t *testing.T) {
 	eng := sim.New()
-	g, stubs := diamond(eng)
-	r := NewRouter(eng, g, installers(stubs), ECMP{})
+	g, tables := diamond(eng)
+	r := NewRouter(eng, g, tables, ECMP{})
 	fail, restore := sim.Time(100*sim.Microsecond), sim.Time(300*sim.Microsecond)
 	r.Schedule([]LinkEvent{
 		{At: fail, A: 0, B: 1, Down: true},
@@ -214,30 +214,30 @@ func TestRouterScheduleRunsOnEngine(t *testing.T) {
 	if !g[0][1].Link.IsDown() {
 		t.Fatal("link not cut at its scheduled time")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := tables[0].Route(101); len(got) != 2 {
 		t.Fatal("tables reconverged before the control-plane delay")
 	}
 	eng.RunUntil(sim.Time(200 * sim.Microsecond))
-	if got := stubs[0].routes[101]; len(got) != 1 {
+	if got := tables[0].Route(101); len(got) != 1 {
 		t.Fatalf("tables did not reconverge after the delay: %v", got)
 	}
 	eng.RunUntil(sim.Time(400 * sim.Microsecond))
 	if g[0][1].Link.IsDown() {
 		t.Fatal("link not restored")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := tables[0].Route(101); len(got) != 2 {
 		t.Fatalf("tables did not reconverge after restore: %v", got)
 	}
 }
 
 func TestWeightedStrategyInstallsReplicatedTables(t *testing.T) {
 	eng := sim.New()
-	g, stubs := diamond(eng)
+	g, tables := diamond(eng)
 	// Make the 0→2 path twice as fat as 0→1.
 	g[0][1].Link.Rate = 50 * units.Gbps
 	g[0][2].Link.Rate = 100 * units.Gbps
-	NewRouter(eng, g, installers(stubs), WeightedECMP{})
-	got := stubs[0].routes[101]
+	NewRouter(eng, g, tables, WeightedECMP{})
+	got := tables[0].Route(101)
 	n1, n2 := 0, 0
 	for _, p := range got {
 		switch p {
@@ -254,8 +254,8 @@ func TestWeightedStrategyInstallsReplicatedTables(t *testing.T) {
 
 func TestFailLinkOnNonAdjacentPairPanics(t *testing.T) {
 	eng := sim.New()
-	g, stubs := diamond(eng)
-	r := NewRouter(eng, g, installers(stubs), ECMP{})
+	g, tables := diamond(eng)
+	r := NewRouter(eng, g, tables, ECMP{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("failing a non-existent link did not panic")
@@ -464,19 +464,33 @@ func randomFabric(eng *sim.Engine, rng *rand.Rand, seed int) fabric {
 	return fb.fabric(fmt.Sprintf("random-%d", seed))
 }
 
-func sameTables(t *testing.T, label string, got, want []*tableStub) {
+// sameTables compares the router's tables against the reference through
+// the switch lookup, for every destination from -1 to past the largest
+// host ID, so a missing entry and an extra one both fail.
+func sameTables(t *testing.T, label string, got []*Table, want []*tableStub, maxID packet.NodeID) {
 	t.Helper()
 	for si := range want {
-		if len(got[si].routes) != len(want[si].routes) {
-			t.Fatalf("%s: switch %d has %d destinations, reference %d", label, si, len(got[si].routes), len(want[si].routes))
-		}
-		for dst, w := range want[si].routes {
-			g, ok := got[si].routes[dst]
-			if !ok || !slices.Equal(g, w) {
-				t.Fatalf("%s: switch %d dst %d = %v (installed %v), reference %v", label, si, dst, g, ok, w)
+		for dst := packet.NodeID(-1); dst <= maxID+1; dst++ {
+			g := got[si].Route(dst)
+			w, ok := want[si].routes[dst]
+			if (g != nil) != ok || !slices.Equal(g, w) {
+				t.Fatalf("%s: switch %d dst %d = %v, reference %v (installed %v)", label, si, dst, g, w, ok)
 			}
 		}
 	}
+}
+
+// maxHostID is the largest host NodeID in the graph.
+func maxHostID(graph [][]PortRef) packet.NodeID {
+	m := packet.NodeID(-1)
+	for _, ports := range graph {
+		for _, ref := range ports {
+			if ref.ToHost {
+				m = max(m, ref.HostID)
+			}
+		}
+	}
+	return m
 }
 
 // TestRebuildMatchesPerHostReference is the route-table differential
@@ -501,16 +515,17 @@ func TestRebuildMatchesPerHostReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			eng := sim.New()
 			f := shape(eng, rng, seed)
-			got := make([]*tableStub, len(f.graph))
+			got := newTables(len(f.graph))
 			want := make([]*tableStub, len(f.graph))
-			for i := range got {
-				got[i], want[i] = newTableStub(), newTableStub()
+			for i := range want {
+				want[i] = newTableStub()
 			}
-			r := NewRouter(eng, f.graph, installers(got), strategy)
+			maxID := maxHostID(f.graph)
+			r := NewRouter(eng, f.graph, got, strategy)
 			down := map[[2]int]bool{}
 			referenceRebuild(f.graph, down, strategy, want)
 			label := fmt.Sprintf("%s/%s%+v", f.name, strategy.Name(), strategy)
-			sameTables(t, label+" initial", got, want)
+			sameTables(t, label+" initial", got, want, maxID)
 			if len(f.pairs) == 0 {
 				continue
 			}
@@ -542,28 +557,50 @@ func TestRebuildMatchesPerHostReference(t *testing.T) {
 					}
 				}
 				r.Rebuild()
+				if r.DownLinks() != len(down) {
+					t.Fatalf("%s step %d: DownLinks() = %d, want %d", label, step, r.DownLinks(), len(down))
+				}
 				referenceRebuild(f.graph, down, strategy, want)
-				sameTables(t, fmt.Sprintf("%s step %d (%d links down)", label, step, len(down)), got, want)
+				sameTables(t, fmt.Sprintf("%s step %d (%d links down)", label, step, len(down)), got, want, maxID)
 			}
 		}
 	}
 }
 
-// denseTable is a switch-like installer: a slice indexed by destination
-// node ID, as swtch.Switch keeps its forwarding table.
-type denseTable struct{ routes [][]int }
-
-func (d *denseTable) SetRoute(dst packet.NodeID, ports []int) {
-	if n := int(dst) + 1; n > len(d.routes) {
-		d.routes = append(d.routes, make([][]int, n-len(d.routes))...)
+// TestNewRouterAllocation bounds what building the routes of the
+// benchmark's 8192-host fat-tree allocates: route state is sized by
+// attachment groups (8 here), plus one index slot and one direct port
+// per host, not by switches × hosts.
+func TestNewRouterAllocation(t *testing.T) {
+	eng := sim.New()
+	f := fatTreeGraph(eng, 4, 2, 2, 2, 1024)
+	tables := newTables(len(f.graph))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewRouter(eng, f.graph, tables, ECMP{})
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 4 {
+		t.Fatalf("NewRouter on the 8192-host fat-tree allocated %.1f MB, want < 4 MB", mb)
 	}
-	d.routes[dst] = ports
 }
 
-// BenchmarkRouterRebuild times one full reconvergence on the benchmark's
-// 8192-host fat-tree (8 ToRs of 1024 servers, the reconverge workload's
-// fabric) and on a 40,000-host single-switch star, the oversized-request
-// shape.
+func TestSetRouteOnManagedTablePanics(t *testing.T) {
+	eng := sim.New()
+	g, tables := diamond(eng)
+	NewRouter(eng, g, tables, ECMP{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRoute on a router-managed table did not panic")
+		}
+	}()
+	tables[1].SetRoute(100, []int{0})
+}
+
+// BenchmarkRouterRebuild times one full reconvergence on three shapes:
+// the benchmark's 8192-host fat-tree (8 ToRs of 1024 servers, the
+// reconverge workload's fabric), the 10,240-host Scale_FatTree10k
+// fabric (256 ToRs, so 256 attachment groups set the cost) and a
+// 40,000-host single-switch star, the oversized-request shape.
 func BenchmarkRouterRebuild(b *testing.B) {
 	star := func(eng *sim.Engine, hosts int) fabric {
 		fb := newFabricBuilder(eng, 1)
@@ -577,16 +614,13 @@ func BenchmarkRouterRebuild(b *testing.B) {
 		build func(*sim.Engine) fabric
 	}{
 		{"fattree8192", func(eng *sim.Engine) fabric { return fatTreeGraph(eng, 4, 2, 2, 2, 1024) }},
+		{"fattree10k", func(eng *sim.Engine) fabric { return fatTreeGraph(eng, 16, 16, 8, 16, 40) }},
 		{"star40k", func(eng *sim.Engine) fabric { return star(eng, 40000) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			eng := sim.New()
 			f := bc.build(eng)
-			tables := make([]Installer, len(f.graph))
-			for i := range tables {
-				tables[i] = &denseTable{}
-			}
-			r := NewRouter(eng, f.graph, tables, ECMP{})
+			r := NewRouter(eng, f.graph, newTables(len(f.graph)), ECMP{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -53,14 +53,17 @@ type Config struct {
 	Pool *packet.Pool
 }
 
-// Switch is one switch instance. It implements link.Receiver.
+// Switch is one switch instance. It implements link.Receiver. Its
+// forwarding table is the embedded route.Table: a route.Router installs
+// it, and Route/SetRoute read and fill it.
 type Switch struct {
+	route.Table
+
 	id    packet.NodeID
 	eng   *sim.Engine
 	cfg   Config
 	share *buffer.Shared
 	ports []*link.Port
-	table [][]int // candidate ports, indexed by destination host NodeID
 	rng   *rand.Rand
 
 	marked  uint64
@@ -102,7 +105,6 @@ func (s *Switch) Dropped() uint64 { return s.dropped }
 // index for routing tables.
 func (s *Switch) AddPort(rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue) int {
 	pt := link.NewPort(s.eng, rate, delay, peer)
-	pt.Name = fmt.Sprintf("sw%d.p%d", s.id, len(s.ports))
 	pt.Pool = s.cfg.Pool
 	if q != nil {
 		pt.Q = q
@@ -156,25 +158,6 @@ func (s *Switch) shouldMark(qlen int64) bool {
 		prob := e.PMax * float64(qlen-e.KMin) / float64(e.KMax-e.KMin)
 		return s.rng.Float64() < prob
 	}
-}
-
-// SetRoute installs the ECMP candidate ports for a destination. Host
-// NodeIDs are dense from 0, so the table is a slice that grows to the
-// largest destination installed.
-func (s *Switch) SetRoute(dst packet.NodeID, portIdx []int) {
-	if n := int(dst) + 1; n > len(s.table) {
-		s.table = append(s.table, make([][]int, n-len(s.table))...)
-	}
-	s.table[dst] = portIdx
-}
-
-// Route returns the candidate egress ports for dst, nil when none is
-// installed.
-func (s *Switch) Route(dst packet.NodeID) []int {
-	if uint(dst) >= uint(len(s.table)) {
-		return nil
-	}
-	return s.table[dst]
 }
 
 // Receive implements link.Receiver: forward the packet toward its

@@ -159,7 +159,7 @@ func TestNoRoutePanics(t *testing.T) {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, "has no route") {
-					t.Fatalf("dst %d (table length %d): recovered %q, want a has-no-route panic", dst, len(sw.table), msg)
+					t.Fatalf("dst %d: recovered %q, want a has-no-route panic", dst, msg)
 				}
 			}()
 			sw.Receive(data(1, dst, 100))

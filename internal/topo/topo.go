@@ -264,7 +264,6 @@ func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, o
 	h := n.Hosts[hi]
 	s := n.Switches[si]
 	up := link.NewPort(n.engFor(part), rate, delay, s)
-	up.Name = fmt.Sprintf("host%d.nic", hi)
 	up.Pool = n.poolFor(part)
 	h.SetUplink(up)
 	s.AddPort(rate, delay, h, n.qFor(opts))
@@ -374,9 +373,9 @@ func (n *Network) finish(opts Options) {
 		}
 	}
 	graph := make([][]route.PortRef, len(n.Switches))
-	installers := make([]route.Installer, len(n.Switches))
+	tables := make([]*route.Table, len(n.Switches))
 	for si, s := range n.Switches {
-		installers[si] = s
+		tables[si] = &s.Table
 		ports := s.Ports()
 		refs := make([]route.PortRef, len(n.swPeers[si]))
 		for pi, peer := range n.swPeers[si] {
@@ -391,5 +390,5 @@ func (n *Network) finish(opts Options) {
 		}
 		graph[si] = refs
 	}
-	n.Router = route.NewRouter(n.Eng, graph, installers, opts.Routing)
+	n.Router = route.NewRouter(n.Eng, graph, tables, opts.Routing)
 }
